@@ -54,6 +54,7 @@ FailpointState g_failpoints[] = {
     {"wal.recover"},          // WAL: record read during recovery fails
     {"fleet.heartbeat"},      // fleet worker: lease heartbeat send suppressed
     {"fleet.result_write"},   // fleet worker: shard result envelope corrupted
+    {"fleet.result_hold"},    // fleet worker: wedges instead of reporting
     {"fleet.lease_grant"},    // fleet coordinator: lease grant deferred
     {"fleet.journal_write"},  // fleet coordinator: journal write fails
 };

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <span>
 
 #include "util/hash.h"
 #include "util/status.h"
@@ -16,34 +17,135 @@ class StateReader;
 
 namespace lego::cov {
 
+namespace detail {
+
+/// AFL hit-count buckets: 1,2,3,4-7,8-15,16-31,32-127,128+ -> single bits.
+constexpr uint8_t HitCountBucket(uint8_t count) {
+  if (count == 0) return 0;
+  if (count == 1) return 1;
+  if (count == 2) return 2;
+  if (count == 3) return 4;
+  if (count <= 7) return 8;
+  if (count <= 15) return 16;
+  if (count <= 31) return 32;
+  if (count <= 127) return 64;
+  return 128;
+}
+
+/// HitCountBucket() for every counter value, built at compile time.
+inline constexpr std::array<uint8_t, 256> kHitCountBuckets = [] {
+  std::array<uint8_t, 256> table{};
+  for (size_t c = 0; c < table.size(); ++c) {
+    table[c] = HitCountBucket(static_cast<uint8_t>(c));
+  }
+  return table;
+}();
+
+}  // namespace detail
+
 /// AFL-style edge-coverage map for one execution. Probes report a location
 /// id; the map records the (prev >> 1) ^ cur edge and bumps an 8-bit
 /// saturating counter. After a run, ClassifyCounts() folds raw counts into
 /// AFL's hit-count buckets so "same edge, new hit-count magnitude" also
 /// registers as new coverage.
+///
+/// A run hits a few thousand of the 65,536 edges, so Hit() also appends
+/// each edge's index to a touched list on its first hit (0 -> 1). Reset,
+/// ClassifyCounts, CopyFrom and the global merges walk that list instead of
+/// the whole map. A run that touches more than kMaxTouched distinct edges
+/// overflows the list, and every one of those steps then falls back to the
+/// full map until the next Reset. The map stays one trivially copyable
+/// struct: the forked backend shares it with its child as raw bytes.
 class CoverageMap {
  public:
   static constexpr size_t kSize = 1 << 16;
+  /// Touched-list capacity (8 KiB of indices).
+  static constexpr size_t kMaxTouched = 4096;
 
-  CoverageMap() { Reset(); }
+  /// Writes the counters once; the touched list needs no initialization.
+  CoverageMap() {
+    map_.fill(0);
+    prev_loc_ = 0;
+    num_touched_ = 0;
+  }
 
   /// Clears all counters and the edge-chain state.
   void Reset() {
-    map_.fill(0);
+    if (has_touched_list()) {
+      for (uint16_t e : touched_edges()) map_[e] = 0;
+    } else {
+      map_.fill(0);
+    }
     prev_loc_ = 0;
+    num_touched_ = 0;
   }
 
   /// Records a hit of probe `loc` (called via LEGO_COV()).
   void Hit(uint64_t loc) {
     size_t edge = static_cast<size_t>((prev_loc_ ^ loc) & (kSize - 1));
-    if (map_[edge] != 0xff) ++map_[edge];
+    uint8_t& count = map_[edge];
+    if (count == 0) {
+      if (num_touched_ < kMaxTouched) {
+        touched_[num_touched_] = static_cast<uint16_t>(edge);
+      }
+      ++num_touched_;
+    }
+    if (count != 0xff) ++count;
     prev_loc_ = loc >> 1;
   }
 
   /// Folds raw hit counts into AFL bucket bitmasks (1,2,3,4-7,8-15,16-31,
   /// 32-127,128+ -> single bits).
   void ClassifyCounts() {
-    for (auto& c : map_) c = Bucket(c);
+    ForEachTouched([this](size_t e) { map_[e] = Bucket(map_[e]); });
+  }
+
+  /// Makes this map equal to `src` (counters, chain state and touched
+  /// list), writing only the edges either map touched.
+  void CopyFrom(const CoverageMap& src) {
+    if (src.has_touched_list()) {
+      Reset();
+      for (size_t i = 0; i < src.num_touched_; ++i) {
+        const uint16_t e = src.touched_[i];
+        map_[e] = src.map_[e];
+        touched_[i] = e;
+      }
+    } else {
+      map_ = src.map_;
+    }
+    prev_loc_ = src.prev_loc_;
+    num_touched_ = src.num_touched_;
+  }
+
+  /// Forgets the touched list, so every step takes the full-map path until
+  /// the next Reset. For a map whose writer may have died inside Hit(),
+  /// after bumping a counter but before listing its edge.
+  void DropTouchedList() { num_touched_ = kMaxTouched + 1; }
+
+  /// True while touched_edges() lists every nonzero counter.
+  bool has_touched_list() const { return num_touched_ <= kMaxTouched; }
+
+  /// The edges hit since Reset, in first-hit order. Only meaningful while
+  /// has_touched_list().
+  std::span<const uint16_t> touched_edges() const {
+    return {touched_.data(), has_touched_list() ? num_touched_ : 0};
+  }
+
+  /// Calls f(edge) for every edge whose counter may be nonzero: the
+  /// touched list when it is complete, otherwise every edge in a nonzero
+  /// 8-byte word of the map.
+  template <typename F>
+  void ForEachTouched(F&& f) const {
+    if (has_touched_list()) {
+      for (uint16_t e : touched_edges()) f(static_cast<size_t>(e));
+      return;
+    }
+    for (size_t i = 0; i < kSize; i += sizeof(uint64_t)) {
+      uint64_t word;
+      std::memcpy(&word, map_.data() + i, sizeof(word));
+      if (word == 0) continue;
+      for (size_t j = i; j < i + sizeof(word); ++j) f(j);
+    }
   }
 
   /// Number of edges with any hits.
@@ -55,21 +157,17 @@ class CoverageMap {
 
   const uint8_t* data() const { return map_.data(); }
 
-  static uint8_t Bucket(uint8_t count) {
-    if (count == 0) return 0;
-    if (count == 1) return 1;
-    if (count == 2) return 2;
-    if (count == 3) return 4;
-    if (count <= 7) return 8;
-    if (count <= 15) return 16;
-    if (count <= 31) return 32;
-    if (count <= 127) return 64;
-    return 128;
+  /// AFL hit-count bucket of a raw counter value.
+  static constexpr uint8_t Bucket(uint8_t count) {
+    return detail::kHitCountBuckets[count];
   }
 
  private:
   std::array<uint8_t, kSize> map_;
   uint64_t prev_loc_;
+  /// Distinct edges hit since Reset; above kMaxTouched the list overflowed.
+  uint32_t num_touched_;
+  std::array<uint16_t, kMaxTouched> touched_;
 };
 
 /// Accumulated ("virgin") coverage across a whole campaign. Merging a
@@ -85,26 +183,20 @@ class GlobalCoverage {
   }
 
   /// Merges `run` (must already be classified); returns true if any new
-  /// coverage bit appeared. Run maps are sparse, so zero regions are
-  /// skipped a word at a time.
+  /// coverage bit appeared. Only the run's touched edges are visited.
   bool MergeDetectNew(const CoverageMap& run) {
     bool new_cov = false;
     const uint8_t* rd = run.data();
-    for (size_t i = 0; i < CoverageMap::kSize; i += sizeof(uint64_t)) {
-      uint64_t word;
-      std::memcpy(&word, rd + i, sizeof(word));
-      if (word == 0) continue;
-      for (size_t j = i; j < i + sizeof(word); ++j) {
-        uint8_t bits = rd[j];
-        if (bits == 0) continue;
-        uint8_t& v = virgin_[j];
-        if ((bits & ~v) != 0) {
-          if (v == 0) ++covered_edges_;
-          v |= bits;
-          new_cov = true;
-        }
+    run.ForEachTouched([&](size_t j) {
+      uint8_t bits = rd[j];
+      if (bits == 0) return;
+      uint8_t& v = virgin_[j];
+      if ((bits & ~v) != 0) {
+        if (v == 0) ++covered_edges_;
+        v |= bits;
+        new_cov = true;
       }
-    }
+    });
     return new_cov;
   }
 
@@ -150,28 +242,23 @@ class SharedCoverage {
   }
 
   /// Merges `run` (must already be classified); returns true if any bit was
-  /// new to the shared map. Safe to call from many threads at once. The
-  /// input map is plain bytes, so zero regions are skipped a word at a time
-  /// and atomics are only touched for bytes with coverage.
+  /// new to the shared map. Safe to call from many threads at once. Only the
+  /// run's touched edges are visited, and atomics are only touched for bytes
+  /// with coverage.
   bool MergeDetectNew(const CoverageMap& run) {
     bool new_cov = false;
     const uint8_t* rd = run.data();
-    for (size_t i = 0; i < CoverageMap::kSize; i += sizeof(uint64_t)) {
-      uint64_t word;
-      std::memcpy(&word, rd + i, sizeof(word));
-      if (word == 0) continue;
-      for (size_t j = i; j < i + sizeof(word); ++j) {
-        uint8_t bits = rd[j];
-        if (bits == 0) continue;
-        uint8_t prev = virgin_[j].fetch_or(bits, std::memory_order_relaxed);
-        if ((bits & ~prev) != 0) {
-          if (prev == 0) {
-            covered_edges_.fetch_add(1, std::memory_order_relaxed);
-          }
-          new_cov = true;
+    run.ForEachTouched([&](size_t j) {
+      uint8_t bits = rd[j];
+      if (bits == 0) return;
+      uint8_t prev = virgin_[j].fetch_or(bits, std::memory_order_relaxed);
+      if ((bits & ~prev) != 0) {
+        if (prev == 0) {
+          covered_edges_.fetch_add(1, std::memory_order_relaxed);
         }
+        new_cov = true;
       }
-    }
+    });
     return new_cov;
   }
 

@@ -4,7 +4,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <thread>
 
 #include "chaos/failpoint.h"
 #include "fleet/protocol.h"
@@ -115,6 +117,15 @@ int WorkerMain(const WorkerContext& ctx) {
       return 3;
     }
 
+    if (LEGO_FAILPOINT("fleet.result_hold")) {
+      // Models a worker that wedges after its shard (a hung host, a stuck
+      // disk) and never reports: only the coordinator's lease deadline can
+      // recover the shard, however fast the shard itself ran.
+      while (!g_worker_stop.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      return 0;
+    }
     std::string envelope = EncodeShardOutcome(*outcome);
     if (LEGO_FAILPOINT("fleet.result_write") && !envelope.empty()) {
       // Poison one payload byte past the header: the frame arrives intact

@@ -337,6 +337,10 @@ void ForkedBackend::KillChild() {
   }
   child_pid_ = -1;
   alive_ = false;
+  // The child may have died inside Hit(), between bumping a counter and
+  // listing its edge: this run's FinishRun copies and classifies the whole
+  // map, and the next child's Reset clears all of it.
+  shm_->DropTouchedList();
 }
 
 minidb::CrashInfo ForkedBackend::ReapAsCrash(sql::StatementType type) {
@@ -359,6 +363,7 @@ minidb::CrashInfo ForkedBackend::ReapAsCrash(sql::StatementType type) {
   cmd_fd_ = resp_fd_ = -1;
   child_pid_ = -1;
   alive_ = false;
+  shm_->DropTouchedList();  // as in KillChild
 
   minidb::CrashInfo crash;
   crash.kind = DeathKind(wstatus);
@@ -633,8 +638,9 @@ StmtOutcome ForkedBackend::Execute(const sql::Statement& stmt,
 
 const cov::CoverageMap& ForkedBackend::FinishRun() {
   // The child is quiescent between requests (and after death the map holds
-  // everything it reported before dying), so a plain copy is race-free.
-  std::memcpy(&run_map_, shm_, sizeof(run_map_));
+  // everything it reported before dying), so a plain copy is race-free. It
+  // walks the touched list, or the whole map once a death dropped the list.
+  run_map_.CopyFrom(*shm_);
   run_map_.ClassifyCounts();
   PollStorageStats();
   return run_map_;

@@ -15,11 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "fuzz/backend.h"
 #include "fuzz/harness.h"
 #include "fuzz/testcase.h"
 #include "lego/lego_fuzzer.h"
+#include "minidb/database.h"
 #include "minidb/profile.h"
 
 namespace lego::fuzz {
@@ -105,6 +107,103 @@ TEST(BackendParityTest, PgliteNormalizedCoverage) {
 TEST(BackendParityTest, MarialiteNormalizedCoverage) {
   ExpectParity("marialite", 23,
                {/*normalize=*/true, /*compare_coverage=*/true});
+}
+
+// --- child deaths keep run coverage exact ------------------------------------
+//
+// A forked child that dies mid-run may have been killed inside a coverage
+// probe, so that run's FinishRun and the next child's Reset scan the whole
+// shared map instead of its touched-edge list. Observably, the dying run must
+// report exactly the coverage of the statements before the death, and the
+// next run must start from a clean map: both classified maps equal the
+// in-process ones byte for byte.
+
+/// RAII around the planted real-defect switches (DROP TABLE aborts, VACUUM
+/// spins forever) so a failing assertion cannot leak them into later tests.
+class PlantedDefects {
+ public:
+  PlantedDefects() {
+    minidb::testing::SetPlantedAbortForTesting(true);
+    minidb::testing::SetPlantedHangForTesting(true);
+  }
+  ~PlantedDefects() {
+    minidb::testing::SetPlantedAbortForTesting(false);
+    minidb::testing::SetPlantedHangForTesting(false);
+  }
+};
+
+/// Runs one session of `sql` on `backend`; returns its classified map and
+/// the last statement's outcome.
+std::vector<uint8_t> RunSession(DbBackend* backend, const std::string& sql,
+                                StmtOutcome* last) {
+  auto tc = TestCase::FromSql(sql);
+  EXPECT_TRUE(tc.ok()) << sql;
+  backend->Reset();
+  if (tc.ok()) {
+    for (const sql::StmtPtr& stmt : tc->statements()) {
+      *last = backend->Execute(*stmt, /*want_rows=*/false);
+      if (last->server_died()) break;
+    }
+  }
+  const cov::CoverageMap& map = backend->FinishRun();
+  return std::vector<uint8_t>(map.data(), map.data() + cov::CoverageMap::kSize);
+}
+
+TEST(BackendParityTest, ChildDeathKeepsCoverageOfDyingAndNextRun) {
+  // Armed before the forked backend spawns, so its children inherit the
+  // defects; the in-process backend never runs a trigger statement.
+  PlantedDefects plant;
+  const minidb::DialectProfile* profile =
+      minidb::DialectProfile::ByName("pglite");
+  ASSERT_NE(profile, nullptr);
+  BackendOptions forked_options;
+  forked_options.kind = BackendKind::kForked;
+  forked_options.max_stmt_ms = 150;
+  std::unique_ptr<DbBackend> forked = MakeBackend(*profile, forked_options);
+  std::unique_ptr<DbBackend> inproc = MakeBackend(*profile, BackendOptions{});
+  const std::string setup = "CREATE TABLE s (k INT); INSERT INTO s VALUES (7);";
+  forked->set_setup_script(setup);
+  inproc->set_setup_script(setup);
+
+  const std::string prefix =
+      "CREATE TABLE t0 (a INT, b TEXT); "
+      "INSERT INTO t0 VALUES (1, 'x'), (2, 'y'), (3, NULL); "
+      "SELECT a, b FROM t0 WHERE a > 1 ORDER BY a; ";
+  struct Death {
+    std::string trigger;
+    StmtOutcome::Status status;
+    std::string bug_id;
+  };
+  const std::vector<Death> deaths = {
+      {"DROP TABLE t0;", StmtOutcome::Status::kCrash, "REAL-SIGABRT"},
+      {"VACUUM;", StmtOutcome::Status::kHang, "HANG"},
+  };
+  const std::vector<std::string> normal_cases = {
+      "CREATE TABLE u (c INT); INSERT INTO u VALUES (5); "
+      "SELECT c FROM u WHERE c = 5;",
+      "CREATE TABLE v (d TEXT); INSERT INTO v VALUES ('q'); "
+      "UPDATE v SET d = 'r'; DELETE FROM v; SELECT d FROM v;",
+  };
+
+  for (const Death& death : deaths) {
+    for (const std::string& normal : normal_cases) {
+      SCOPED_TRACE(death.trigger + " then " + normal);
+      StmtOutcome forked_last;
+      StmtOutcome inproc_last;
+      std::vector<uint8_t> died =
+          RunSession(forked.get(), prefix + death.trigger, &forked_last);
+      EXPECT_EQ(forked_last.status, death.status);
+      EXPECT_EQ(forked_last.crash.bug_id, death.bug_id);
+      EXPECT_FALSE(forked->FinishRun().has_touched_list());
+      EXPECT_EQ(died, RunSession(inproc.get(), prefix, &inproc_last));
+
+      std::vector<uint8_t> next =
+          RunSession(forked.get(), normal, &forked_last);
+      EXPECT_FALSE(forked_last.server_died());
+      EXPECT_TRUE(forked->FinishRun().has_touched_list());
+      EXPECT_EQ(next, RunSession(inproc.get(), normal, &inproc_last));
+    }
+  }
 }
 
 }  // namespace

@@ -225,14 +225,18 @@ TEST_F(FleetTest, WorkerKillMidShardRequeuesWithoutLoss) {
   config.shard_budget = 800;  // ~14 heartbeats per shard at progress_every=64
   Reference ref = RunReference(config);
 
-  // Slot 0 dies on its 20th heartbeat each incarnation: it completes one
-  // shard (~14 beats), then is SIGKILLed partway into its next lease. The
-  // shard re-queues; slot 1 (healthy) keeps the fleet finishing.
+  // The only worker dies on its 20th heartbeat each incarnation: it
+  // completes one shard (~14 beats), then is SIGKILLed partway into its
+  // next lease. The shard re-queues and the respawned worker finishes it.
+  // With one worker the kills follow heartbeat counts alone, never which
+  // slot happened to win a lease, so they land the same at any speed.
+  // Three kills need strike_limit above 3 to keep the slot alive.
   FleetOptions options;
   options.config = config;
-  options.num_workers = 2;
+  options.num_workers = 1;
   options.fleet_dir = FreshDir("workerkill");
   options.respawn_backoff_ms = 10;
+  options.strike_limit = 8;
   options.worker_chaos.push_back({0, "fleet.heartbeat=kill:20"});
   FleetResult result = RunFleet(options);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
@@ -334,19 +338,24 @@ TEST_F(FleetTest, QuarantineAfterThreePoisonedResults) {
 TEST_F(FleetTest, HeartbeatLossExpiresLeaseAndRequeues) {
   FleetConfig config = BaseConfig();
   config.num_shards = 2;
-  config.shard_budget = 4000;  // long enough to outlive the lease deadline
+  config.shard_budget = 4000;
   Reference ref = RunReference(config);
 
   // Slot 0 fuzzes but never heartbeats (failpoint swallows them, including
-  // the lease-accept beat), so its lease expires and the shard re-queues to
-  // the healthy slot. strike_limit=1 quarantines the mute on first expiry.
+  // the lease-accept beat), and then wedges instead of reporting its
+  // result, so its lease expires however fast the shard ran, and the shard
+  // re-queues to the healthy slot. strike_limit=1 quarantines the mute on
+  // first expiry. The deadline is sized for the healthy slot instead: its
+  // longest gap between heartbeats is ~40 ms in a release build and
+  // ~0.6 s under TSan.
   FleetOptions options;
   options.config = config;
   options.num_workers = 2;
   options.fleet_dir = FreshDir("mute");
-  options.lease_deadline_ms = 300;
+  options.lease_deadline_ms = 3000;
   options.strike_limit = 1;
   options.worker_chaos.push_back({0, "fleet.heartbeat=always"});
+  options.worker_chaos.push_back({0, "fleet.result_hold=always"});
   FleetResult result = RunFleet(options);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_FALSE(result.degraded);
