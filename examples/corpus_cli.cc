@@ -13,8 +13,9 @@
 //             (default pglite, must match the donor campaign) and write the
 //             smallest greedy subset covering the same edges to OUT
 //
-// Distillation exits non-zero if the kept subset somehow covers fewer
-// edges than the input (a determinism violation worth failing loudly on).
+// Distillation then replays the kept subset on another fresh backend and
+// exits non-zero if it covers fewer edges than the input (a determinism
+// violation worth failing loudly on).
 
 #include <cstdio>
 #include <cstdlib>
@@ -162,9 +163,13 @@ int main(int argc, char** argv) {
     std::printf("distilled %zu -> %zu cases (%zu replays on %s)\n",
                 stats.original_cases, stats.kept_cases, stats.replays,
                 profile->name.c_str());
+    // Verify on a fresh harness: the kept subset alone must replay to the
+    // full input's edge union.
+    fuzz::ExecutionHarness verify(*profile, backend);
+    for (const fuzz::TestCase& tc : kept) verify.Run(tc);
     std::printf("edges before: %zu\n", stats.original_edges);
-    std::printf("edges after : %zu\n", stats.kept_edges);
-    if (stats.kept_edges != stats.original_edges) {
+    std::printf("edges after : %zu\n", verify.CoveredEdges());
+    if (verify.CoveredEdges() != stats.original_edges) {
       std::fprintf(stderr,
                    "distillation lost coverage (non-deterministic replay?)\n");
       return 1;

@@ -393,10 +393,14 @@ class Coordinator {
   }
 
   void ExpireLeases() {
+    // One reading per pass: a Strike below blocks in waitpid reaping its
+    // worker, and that wait must not count against the slots checked after
+    // it, whose heartbeats are not read until the next PollPipes.
+    const Clock::time_point now = Clock::now();
     for (size_t s = 0; s < slots_.size(); ++s) {
       Slot& slot = slots_[s];
       if (slot.state != Slot::State::kLeased) continue;
-      if (MsBetween(slot.last_heartbeat, Clock::now()) >
+      if (MsBetween(slot.last_heartbeat, now) >
           options_.lease_deadline_ms) {
         ++result_.leases_expired;
         Strike(static_cast<int>(s), "lease expired (no heartbeat)");

@@ -1,5 +1,7 @@
 #include "fleet/shard.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <utility>
 
 #include "baselines/sqlancer_like.h"
@@ -155,6 +157,14 @@ StatusOr<ShardOutcome> ExecuteShard(
   outcome.complete = !outcome.result.stopped_early &&
                      outcome.result.executions >= config.shard_budget;
   outcome.coverage = harness.global_coverage();
+  // Corpus fuzzers import the pool first and in order, so their export
+  // opens with it; the coordinator already holds those cases, so ship only
+  // the shard's own seeds. Generation fuzzers export nothing.
+  std::vector<fuzz::TestCase>& exported = outcome.result.corpus_export;
+  exported.erase(exported.begin(),
+                 exported.begin() +
+                     static_cast<std::ptrdiff_t>(
+                         std::min(pool.size(), exported.size())));
   if (!outcome.result.state_status.ok()) {
     return outcome.result.state_status;
   }

@@ -42,7 +42,9 @@ std::unique_ptr<fuzz::Fuzzer> MakeFleetFuzzer(
 
 /// Runs one shard to completion in the calling process: a serial
 /// RunCampaign of config.shard_budget executions seeded ShardSeed(shard_id)
-/// with `pool` imported as the starting corpus. Pure function of
+/// with `pool` imported as the starting corpus. The outcome's
+/// corpus_export holds only the seeds the shard found itself, not the
+/// imported pool. Pure function of
 /// (config, shard_id, pool) — a re-queued shard replayed anywhere
 /// reproduces the same outcome. `progress` (optional) receives the running
 /// execution count every config.progress_every executions; `stop` drains

@@ -1,7 +1,10 @@
 #include "fuzz/distill.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+
+#include "coverage/coverage.h"
 
 namespace lego::fuzz {
 
@@ -11,14 +14,27 @@ std::vector<TestCase> DistillCorpus(const std::vector<TestCase>& cases,
   DistillStats local;
   local.original_cases = cases.size();
 
-  // Pass 1: each case's solo footprint, measured against an empty map.
-  std::vector<size_t> solo_edges(cases.size(), 0);
+  // The one replay pass: record each case's classified run map as sparse
+  // (edge, bucket bits) pairs; case i owns entries [begin[i], begin[i+1]).
+  // The harness map accumulates the corpus union on the way.
+  std::vector<uint16_t> edges;
+  std::vector<uint8_t> bits;
+  std::vector<size_t> begin(cases.size() + 1, 0);
+  harness->ResetCoverage();
   for (size_t i = 0; i < cases.size(); ++i) {
-    harness->ResetCoverage();
     harness->Run(cases[i]);
     ++local.replays;
-    solo_edges[i] = harness->CoveredEdges();
+    const cov::CoverageMap& run = harness->last_run_coverage();
+    const uint8_t* data = run.data();
+    run.ForEachTouched([&](size_t e) {
+      if (data[e] == 0) return;
+      edges.push_back(static_cast<uint16_t>(e));
+      bits.push_back(data[e]);
+    });
+    begin[i + 1] = edges.size();
   }
+  local.original_edges = harness->CoveredEdges();
+  harness->ResetCoverage();
 
   // Largest-footprint-first is the classic cmin greedy: big cases swallow
   // the common edges early, so small cases only survive on genuinely rare
@@ -27,34 +43,34 @@ std::vector<TestCase> DistillCorpus(const std::vector<TestCase>& cases,
   std::vector<size_t> order(cases.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return solo_edges[a] > solo_edges[b];
+    return begin[a + 1] - begin[a] > begin[b + 1] - begin[b];
   });
 
-  // Pass 2: greedy set cover — replay in that order, keep a case iff it
-  // still reaches an edge nothing kept before it did. Every case runs, so
-  // the map afterwards holds the full corpus union.
+  // Greedy set cover in that order: keep a case iff it adds a bucket bit
+  // nothing before it did — the test GlobalCoverage::MergeDetectNew makes.
+  std::vector<uint8_t> virgin(cov::CoverageMap::kSize, 0);
   std::vector<bool> keep(cases.size(), false);
-  harness->ResetCoverage();
   for (size_t i : order) {
-    ExecResult exec = harness->Run(cases[i]);
-    ++local.replays;
-    keep[i] = exec.new_coverage;
+    for (size_t k = begin[i]; k < begin[i + 1]; ++k) {
+      uint8_t& v = virgin[edges[k]];
+      if ((bits[k] & ~v) != 0) {
+        v |= bits[k];
+        keep[i] = true;
+      }
+    }
   }
-  local.original_edges = harness->CoveredEdges();
 
-  // Pass 3: the kept subset alone, verifying nothing was lost (and
-  // producing the number a caller can compare against a donor campaign).
+  // Only a kept case ever sets a virgin bit, so the map now holds exactly
+  // the kept subset's union.
+  local.kept_edges = static_cast<size_t>(
+      std::count_if(virgin.begin(), virgin.end(),
+                    [](uint8_t v) { return v != 0; }));
+
   std::vector<TestCase> kept;
-  harness->ResetCoverage();
   for (size_t i = 0; i < cases.size(); ++i) {
-    if (!keep[i]) continue;
-    harness->Run(cases[i]);
-    ++local.replays;
-    kept.push_back(cases[i].Clone());
+    if (keep[i]) kept.push_back(cases[i].Clone());
   }
-  local.kept_edges = harness->CoveredEdges();
   local.kept_cases = kept.size();
-  harness->ResetCoverage();
 
   if (stats != nullptr) *stats = local;
   return kept;

@@ -15,23 +15,25 @@ struct DistillStats {
   size_t kept_cases = 0;
   /// Distinct edges covered by the full input corpus (replay union).
   size_t original_edges = 0;
-  /// Distinct edges covered by the kept subset alone. Equal to
-  /// original_edges by construction (verified with a final replay pass).
+  /// Distinct edges covered by the kept subset alone, from the recorded
+  /// run maps. Equal to original_edges by construction; `corpus_cli
+  /// distill` re-checks it by replaying the kept subset on a fresh harness.
   size_t kept_edges = 0;
-  /// Total Run() calls spent (2 * original + kept).
+  /// Total Run() calls spent: one per input case.
   size_t replays = 0;
 };
 
 /// Greedy corpus minimization (afl-cmin style): replays every case through
 /// `harness` and keeps a subset that covers exactly the same edge set.
 ///
-/// Algorithm: a first pass measures each case's solo edge count; cases are
-/// then replayed largest-first (ties broken by input order) against a fresh
-/// coverage map, keeping only those that still contribute new edges; a
-/// final pass replays the kept subset alone to verify the edge union is
-/// preserved. Replaying through the real backend rather than trusting
-/// recorded bitmaps means distillation holds for the engine as built today,
-/// not the one that produced the corpus.
+/// Algorithm: one pass replays each case once and records its classified
+/// run map as sparse (edge, bucket bits) pairs; the cases are then ranked
+/// largest footprint first (ties broken by input order) and a greedy cover
+/// over the recorded maps keeps only those that still contribute a new
+/// edge or hit-count bucket. Replaying through the real backend rather
+/// than trusting bitmaps recorded by the donor campaign means distillation
+/// holds for the engine as built today, not the one that produced the
+/// corpus. Exact duplicates never survive past their first occurrence.
 ///
 /// The kept cases are returned in their original input order. The
 /// harness's accumulated coverage is clobbered (reset before/after use) —

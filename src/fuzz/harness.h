@@ -156,6 +156,11 @@ class ExecutionHarness {
     return global_coverage_;
   }
 
+  /// The classified coverage map of the most recent Run() (the backend's
+  /// FinishRun() result, for in-process and forked backends alike). Valid
+  /// until the next Run(); requires at least one Run().
+  const cov::CoverageMap& last_run_coverage() const { return *last_run_map_; }
+
   /// Total distinct grammar rules covered so far (0 unless enabled).
   size_t CoveredRules() const { return global_rules_.CoveredRules(); }
 
@@ -197,6 +202,7 @@ class ExecutionHarness {
   BackendOptions backend_options_;
   std::unique_ptr<DbBackend> backend_;
   cov::GlobalCoverage global_coverage_;
+  const cov::CoverageMap* last_run_map_ = nullptr;
   cov::SharedCoverage* shared_coverage_ = nullptr;
   cov::GlobalRuleCoverage global_rules_;
   cov::SharedRuleCoverage* shared_rule_coverage_ = nullptr;

@@ -52,8 +52,9 @@ StatusOr<ResultSet> Database::Execute(const sql::Statement& stmt) {
     // Busy-spins (rather than sleeping) so both watchdogs can catch it: the
     // wall-clock --max-stmt-ms kill and the RLIMIT_CPU governor, which
     // only counts CPU time and would never fire on a sleeping child.
+    // A plain store (not ++) keeps C++20's -Wvolatile quiet.
     volatile uint64_t spin = 0;
-    for (;;) ++spin;
+    for (;;) spin = spin + 1;
   }
   if (g_planted_oom.load(std::memory_order_relaxed) &&
       stmt.type() == sql::StatementType::kReindex) {

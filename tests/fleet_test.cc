@@ -30,6 +30,7 @@
 #include "fleet/protocol.h"
 #include "fleet/shard.h"
 #include "fleet/status_json.h"
+#include "fuzz/state.h"
 #include "minidb/env.h"
 #include "minidb/eval.h"
 
@@ -95,6 +96,21 @@ Reference RunReference(const FleetConfig& config) {
     EXPECT_TRUE(st.ok()) << st.ToString();
   }
   return ref;
+}
+
+/// Exact identity of a case: its structural serialization.
+std::string Bytes(const fuzz::TestCase& tc) {
+  persist::StateWriter w;
+  fuzz::SaveTestCase(tc, &w);
+  return w.buffer();
+}
+
+void ExpectSameCases(const std::vector<fuzz::TestCase>& got,
+                     const std::vector<fuzz::TestCase>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(Bytes(got[i]), Bytes(want[i])) << "case " << i;
+  }
 }
 
 void ExpectMatchesReference(const FleetResult& result, const Reference& ref) {
@@ -213,8 +229,60 @@ TEST_F(FleetTest, DistillRedistributeMatchesReference) {
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.shards_done.size(), static_cast<size_t>(config.num_shards));
   EXPECT_EQ(result.distill_cycles, ref.distill_cycles);
-  EXPECT_EQ(result.corpus.size(), ref.pool.size());
+  ExpectSameCases(result.corpus, ref.pool);
+  ExpectSameCases(result.corpus_pending, ref.pending);
   ExpectMatchesReference(result, ref);
+}
+
+// --- shards ship home only the seeds they found ---------------------------
+
+TEST_F(FleetTest, ShardExportsOnlyItsOwnSeeds) {
+  FleetConfig config = BaseConfig();
+  config.shard_budget = 400;
+  // No oracle: the test replays the shard's campaign on a plain harness.
+  config.oracle_spec.clear();
+  const minidb::DialectProfile& profile =
+      *minidb::DialectProfile::ByName(config.profile);
+  for (const char* fuzzer : {"lego", "squirrel"}) {
+    SCOPED_TRACE(fuzzer);
+    config.fuzzer = fuzzer;
+    // Shard 0 on an empty pool: its export is its whole corpus.
+    auto first = ExecuteShard(config, 0, {}, nullptr, {});
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    const std::vector<fuzz::TestCase> pool =
+        std::move(first->result.corpus_export);
+    ASSERT_FALSE(pool.empty());
+    EXPECT_EQ(pool.size(), first->result.fuzzer_stats.corpus_seeds);
+
+    // Shard 1 imports that pool and must not send it back.
+    auto second = ExecuteShard(config, 1, pool, nullptr, {});
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    const std::vector<fuzz::TestCase>& exported =
+        second->result.corpus_export;
+    EXPECT_EQ(exported.size(),
+              second->result.fuzzer_stats.corpus_seeds - pool.size());
+
+    // The same campaign run directly exports its whole corpus: the pool in
+    // import order, then exactly what the shard shipped. Checked by
+    // position, because a shard may rediscover a case identical to a pool
+    // case (the seed scripts, for one) and then rightly ships it as its own.
+    auto direct = MakeFleetFuzzer(config.fuzzer, profile, ShardSeed(config, 1));
+    fuzz::ExecutionHarness harness(profile, config.backend);
+    fuzz::CampaignOptions options;
+    options.max_executions = config.shard_budget;
+    options.snapshot_every = 0;
+    options.export_corpus = true;
+    options.import_seeds = &pool;
+    std::vector<fuzz::TestCase> whole =
+        fuzz::RunCampaign(direct.get(), &harness, options).corpus_export;
+    ASSERT_EQ(whole.size(), pool.size() + exported.size());
+    std::vector<fuzz::TestCase> imported, own;
+    for (size_t i = 0; i < whole.size(); ++i) {
+      (i < pool.size() ? imported : own).push_back(std::move(whole[i]));
+    }
+    ExpectSameCases(imported, pool);
+    ExpectSameCases(own, exported);
+  }
 }
 
 // --- worker killed mid-shard: requeue without loss ------------------------
