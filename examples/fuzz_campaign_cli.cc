@@ -580,9 +580,8 @@ int main(int argc, char** argv) {
               result.fuzzer_stats.corpus_seeds);
   std::printf("  affinity pairs     : %zu\n",
               result.fuzzer_stats.affinity_pairs);
-  std::printf("  sequences          : %zu synthesized, %zu dropped at cap\n",
-              result.fuzzer_stats.sequences_total,
-              result.fuzzer_stats.sequences_dropped);
+  std::printf("  sequences          : %zu synthesized\n",
+              result.fuzzer_stats.sequences_total);
   if (result.fuzzer_stats.import_skipped > 0) {
     std::printf("  import skipped     : %zu damaged corpus entr%s\n",
                 result.fuzzer_stats.import_skipped,
@@ -659,8 +658,6 @@ int main(int argc, char** argv) {
   if (lego_ptr != nullptr && workers == 1) {
     std::printf("  affinity map       : %zu pairs\n",
                 lego_ptr->affinities().Count());
-    std::printf("  synthesized seqs   : %zu\n",
-                lego_ptr->synthesizer().TotalSequences());
   }
   if (!state_dir.empty()) {
     // The digest folds in everything the bit-identity acceptance bar

@@ -52,8 +52,8 @@ int main() {
   std::printf("  branches covered : %zu\n", outcome.edges);
   std::printf("  type-affinities  : %zu (map: %zu)\n",
               outcome.affinities.size(), lego.affinities().Count());
-  std::printf("  sequences in S   : %zu\n",
-              lego.synthesizer().TotalSequences());
+  std::printf("  sequences queued : %zu\n",
+              lego.stats().sequences_total);
   std::printf("  corpus seeds     : %zu\n", lego.corpus_size());
   std::printf("  unique bugs      : %zu\n", outcome.bug_ids.size());
   for (const std::string& bug : outcome.bug_ids) {

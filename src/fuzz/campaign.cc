@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bitset>
 #include <cctype>
 #include <condition_variable>
 #include <cstdio>
@@ -31,6 +32,28 @@ constexpr int kFinalSaveAttempts = 8;
 
 bool Persisting(const CampaignOptions& options) {
   return !options.state_dir.empty();
+}
+
+/// Which (t1, t2) type pairs an affinity set already holds, so a tally
+/// touches the set only for a pair it has not seen.
+using AffinitySeen =
+    std::bitset<sql::kNumStatementTypes * sql::kNumStatementTypes>;
+
+/// Affinity accounting (Table II): adjacent distinct type pairs contained in
+/// a generated test case. `seen` may lag `affinities` (after a resume); it
+/// never holds a pair the set lacks.
+void TallyAffinities(const TestCase& tc, AffinitySeen* seen,
+                     std::set<std::pair<int, int>>* affinities) {
+  auto types = tc.TypeSequence();
+  for (size_t t = 1; t < types.size(); ++t) {
+    if (types[t - 1] == types[t]) continue;
+    int a = static_cast<int>(types[t - 1]);
+    int b = static_cast<int>(types[t]);
+    size_t bit = static_cast<size_t>(a * sql::kNumStatementTypes + b);
+    if (seen->test(bit)) continue;
+    seen->set(bit);
+    affinities->emplace(a, b);
+  }
 }
 
 /// Serial persistence: one file holding fingerprint + result-so-far +
@@ -111,6 +134,7 @@ CampaignResult RunSerialCampaign(Fuzzer* fuzzer, ExecutionHarness* harness,
         result.statements_executed + result.statement_errors >=
             options.max_statements));
 
+  AffinitySeen affinity_seen;
   for (int i = result.executions; !stopped && i < options.max_executions;
        ++i) {
     if (options.stop_flag != nullptr &&
@@ -126,15 +150,7 @@ CampaignResult RunSerialCampaign(Fuzzer* fuzzer, ExecutionHarness* harness,
       break;
     }
     TestCase tc = fuzzer->Next();
-
-    // Affinity accounting (Table II): adjacent distinct type pairs contained
-    // in generated test cases.
-    auto types = tc.TypeSequence();
-    for (size_t t = 1; t < types.size(); ++t) {
-      if (types[t - 1] == types[t]) continue;
-      result.affinities.emplace(static_cast<int>(types[t - 1]),
-                                static_cast<int>(types[t]));
-    }
+    TallyAffinities(tc, &affinity_seen, &result.affinities);
 
     ExecResult exec = harness->Run(tc);
     ++result.executions;
@@ -285,6 +301,7 @@ struct WorkerState {
   int statement_errors = 0;
   int statements_executed = 0;
   std::set<std::pair<int, int>> affinities;
+  AffinitySeen affinity_seen;
   /// Locally-unique crashes by synthetic stack hash; the merge dedups
   /// across workers the same way the serial loop dedups across executions.
   std::map<uint64_t, minidb::CrashInfo> unique_crashes;
@@ -763,13 +780,7 @@ CampaignResult RunParallelCampaign(Fuzzer* prototype,
               : std::max(0, std::min(sync_every, st.target - st.done));
       for (int i = 0; i < batch; ++i) {
         TestCase tc = st.fuzzer->Next();
-
-        auto types = tc.TypeSequence();
-        for (size_t t = 1; t < types.size(); ++t) {
-          if (types[t - 1] == types[t]) continue;
-          st.affinities.emplace(static_cast<int>(types[t - 1]),
-                                static_cast<int>(types[t]));
-        }
+        TallyAffinities(tc, &st.affinity_seen, &st.affinities);
 
         ExecResult exec = st.harness->Run(tc);
         ++st.executions;

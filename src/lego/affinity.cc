@@ -20,37 +20,26 @@ std::vector<TypeAffinityMap::Affinity> TypeAffinityMap::Analyze(
 }
 
 bool TypeAffinityMap::Add(sql::StatementType t1, sql::StatementType t2) {
-  auto [it, inserted] = map_[t1].insert(t2);
-  (void)it;
-  if (inserted) ++count_;
-  return inserted;
-}
-
-bool TypeAffinityMap::Contains(sql::StatementType t1,
-                               sql::StatementType t2) const {
-  auto it = map_.find(t1);
-  return it != map_.end() && it->second.count(t2) > 0;
-}
-
-const std::set<sql::StatementType>& TypeAffinityMap::SuccessorsOf(
-    sql::StatementType t1) const {
-  static const std::set<sql::StatementType>* kEmpty =
-      new std::set<sql::StatementType>();
-  auto it = map_.find(t1);
-  return it == map_.end() ? *kEmpty : it->second;
+  if (Contains(t1, t2)) return false;
+  successors_[static_cast<size_t>(t1)] |= uint64_t{1} << static_cast<int>(t2);
+  ++count_;
+  return true;
 }
 
 std::vector<TypeAffinityMap::Affinity> TypeAffinityMap::All() const {
   std::vector<Affinity> out;
   out.reserve(count_);
-  for (const auto& [t1, succ] : map_) {
-    for (sql::StatementType t2 : succ) out.emplace_back(t1, t2);
+  for (int t1 = 0; t1 < sql::kNumStatementTypes; ++t1) {
+    for (uint64_t m = successors_[t1]; m != 0; m &= m - 1) {
+      out.emplace_back(static_cast<sql::StatementType>(t1),
+                       static_cast<sql::StatementType>(__builtin_ctzll(m)));
+    }
   }
   return out;
 }
 
 void TypeAffinityMap::Clear() {
-  map_.clear();
+  successors_.fill(0);
   count_ = 0;
 }
 

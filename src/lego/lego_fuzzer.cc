@@ -50,9 +50,7 @@ fuzz::TestCase LegoFuzzer::Next() {
   // (mutating corpus seeds): draining the queue exclusively would starve
   // the proactive affinity analysis that feeds it.
   if (!queue_.empty() && (corpus_.empty() || rng_.NextBool(0.6))) {
-    fuzz::TestCase tc = std::move(queue_.front());
-    queue_.pop_front();
-    return tc;
+    return PopQueue();
   }
   fuzz::Seed* seed = corpus_.Select(&rng_);
   if (seed == nullptr) {
@@ -71,34 +69,37 @@ fuzz::TestCase LegoFuzzer::Next() {
     auto mutants =
         mutator_.SequenceOrientedMutants(seed->test_case, position);
     for (auto& m : mutants) queue_.push_back(std::move(m));
-    if (!queue_.empty()) {
-      fuzz::TestCase tc = std::move(queue_.front());
-      queue_.pop_front();
-      return tc;
-    }
+    if (!queue_.empty()) return PopQueue();
   }
   // Conventional syntax-preserving mutation on top of sequences (paper §II:
   // fine mutations deepen exploration once breadth is covered).
   return mutator_.ConventionalMutate(seed->test_case);
 }
 
+fuzz::TestCase LegoFuzzer::PopQueue() {
+  QueueEntry entry = std::move(queue_.front());
+  queue_.pop_front();
+  if (auto* seq = std::get_if<std::vector<sql::StatementType>>(&entry)) {
+    return instantiator_.Instantiate(*seq);
+  }
+  return std::move(std::get<fuzz::TestCase>(entry));
+}
+
 void LegoFuzzer::EnqueueSynthesized(sql::StatementType t1,
                                     sql::StatementType t2) {
-  auto sequences = synthesizer_.OnNewAffinity(t1, t2, affinity_map_);
-  // Instantiate breadth-first: short sequences first. The depth-first
-  // enumeration order of Algorithm 3 would otherwise spend the whole
-  // consumption cap on deep expansions of the first few successors.
-  std::stable_sort(sequences.begin(), sequences.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.size() < b.size();
-                   });
-  int consumed = 0;
-  for (const auto& seq : sequences) {
-    if (consumed >= options_.max_sequences_per_affinity) break;
-    ++consumed;
+  // Take only the sequences the queue has room for; each is queued as bare
+  // types and instantiated when Next() pops it.
+  size_t room =
+      options_.max_queue - std::min(options_.max_queue, queue_.size());
+  size_t per =
+      static_cast<size_t>(std::max(1, options_.instantiations_per_sequence));
+  size_t limit = std::min<size_t>(options_.max_sequences_per_affinity,
+                                  (room + per - 1) / per);
+  for (auto& seq : synthesizer_.OnNewAffinity(t1, t2, limit)) {
+    ++sequences_enqueued_;
     for (int k = 0; k < options_.instantiations_per_sequence; ++k) {
       if (queue_.size() >= options_.max_queue) return;
-      queue_.push_back(instantiator_.Instantiate(seq));
+      queue_.push_back(seq);
     }
   }
 }
@@ -136,6 +137,21 @@ std::vector<fuzz::TestCase> LegoFuzzer::ExportCorpus() const {
 
 namespace {
 constexpr uint32_t kLegoTag = persist::ChunkTag("LEGF");
+
+void WriteTypes(const std::vector<sql::StatementType>& types,
+                persist::StateWriter* w) {
+  w->WriteString({reinterpret_cast<const char*>(types.data()), types.size()});
+}
+
+/// Reads what WriteTypes wrote; false on a byte that names no type.
+bool ReadTypes(persist::StateReader* r, std::vector<sql::StatementType>* out) {
+  std::string bytes = r->ReadString();
+  const auto* types = reinterpret_cast<const sql::StatementType*>(bytes.data());
+  out->assign(types, types + bytes.size());
+  return std::all_of(bytes.begin(), bytes.end(), [](char c) {
+    return static_cast<uint8_t>(c) < sql::kNumStatementTypes;
+  });
+}
 }  // namespace
 
 Status LegoFuzzer::SaveState(persist::StateWriter* w) const {
@@ -151,14 +167,24 @@ Status LegoFuzzer::SaveState(persist::StateWriter* w) const {
   LEGO_RETURN_IF_ERROR(affinity_map_.SaveState(w));
   LEGO_RETURN_IF_ERROR(synthesizer_.SaveState(w));
   LEGO_RETURN_IF_ERROR(corpus_.SaveState(w));
-  fuzz::SaveTestCaseQueue(queue_, w);
-  w->WriteU64(pending_foreign_affinities_.size());
-  for (const auto& [t1, t2] : pending_foreign_affinities_) {
-    w->WriteU8(static_cast<uint8_t>(t1));
-    w->WriteU8(static_cast<uint8_t>(t2));
+  w->WriteU64(queue_.size());
+  for (const QueueEntry& entry : queue_) {
+    const auto* seq = std::get_if<std::vector<sql::StatementType>>(&entry);
+    w->WriteBool(seq != nullptr);
+    if (seq == nullptr) {
+      fuzz::SaveTestCase(std::get<fuzz::TestCase>(entry), w);
+    } else {
+      WriteTypes(*seq, w);
+    }
   }
+  std::vector<sql::StatementType> pending;  // t1, t2 of each in turn
+  for (const auto& [t1, t2] : pending_foreign_affinities_) {
+    pending.insert(pending.end(), {t1, t2});
+  }
+  WriteTypes(pending, w);
   w->WriteI64(corpus_.IndexOf(current_seed_));
   w->WriteU64(mutation_cursor_);
+  w->WriteU64(sequences_enqueued_);
   w->EndChunk();
   return Status::OK();
 }
@@ -181,25 +207,30 @@ Status LegoFuzzer::LoadState(persist::StateReader* r) {
   LEGO_RETURN_IF_ERROR(affinity_map_.LoadState(r));
   LEGO_RETURN_IF_ERROR(synthesizer_.LoadState(r));
   LEGO_RETURN_IF_ERROR(corpus_.LoadState(r));
-  LEGO_RETURN_IF_ERROR(fuzz::LoadTestCaseQueue(r, &queue_));
-  uint64_t pending = r->ReadU64();
-  if (!r->CheckCount(pending, 2)) return r->status();
-  pending_foreign_affinities_.clear();
-  constexpr uint8_t kNum = static_cast<uint8_t>(sql::StatementType::kNumTypes);
-  for (uint64_t i = 0; i < pending; ++i) {
-    uint8_t t1 = r->ReadU8();
-    uint8_t t2 = r->ReadU8();
-    if (!r->ok()) return r->status();
-    if (t1 >= kNum || t2 >= kNum) {
-      return Status::InvalidArgument(
-          "pending affinity with invalid type tag");
+  uint64_t queued = r->ReadU64();
+  if (!r->CheckCount(queued, 2)) return r->status();
+  queue_.clear();
+  std::vector<sql::StatementType> types;
+  for (uint64_t i = 0; i < queued; ++i) {
+    if (!r->ReadBool()) {
+      LEGO_ASSIGN_OR_RETURN(fuzz::TestCase tc, fuzz::LoadTestCase(r));
+      queue_.push_back(std::move(tc));
+    } else if (ReadTypes(r, &types)) {
+      queue_.push_back(types);
+    } else {
+      return Status::InvalidArgument("queued sequence with invalid type tag");
     }
-    pending_foreign_affinities_.emplace_back(
-        static_cast<sql::StatementType>(t1),
-        static_cast<sql::StatementType>(t2));
+  }
+  if (!ReadTypes(r, &types) || types.size() % 2 != 0) {
+    return Status::InvalidArgument("pending affinity with invalid type tag");
+  }
+  pending_foreign_affinities_.clear();
+  for (size_t i = 0; i < types.size(); i += 2) {
+    pending_foreign_affinities_.emplace_back(types[i], types[i + 1]);
   }
   int64_t seed_index = r->ReadI64();
   uint64_t cursor = r->ReadU64();
+  uint64_t enqueued = r->ReadU64();
   LEGO_RETURN_IF_ERROR(r->ExitChunk());
   if (seed_index >= static_cast<int64_t>(corpus_.size()) || seed_index < -1) {
     return Status::InvalidArgument("in-flight seed index out of range");
@@ -207,6 +238,7 @@ Status LegoFuzzer::LoadState(persist::StateReader* r) {
   current_seed_ =
       seed_index < 0 ? nullptr : corpus_.at(static_cast<size_t>(seed_index));
   mutation_cursor_ = cursor;
+  sequences_enqueued_ = enqueued;
   return Status::OK();
 }
 
@@ -214,8 +246,7 @@ fuzz::FuzzerStats LegoFuzzer::stats() const {
   fuzz::FuzzerStats s;
   s.corpus_seeds = corpus_.size();
   s.affinity_pairs = affinity_map_.Count();
-  s.sequences_total = synthesizer_.TotalSequences();
-  s.sequences_dropped = synthesizer_.dropped_sequences();
+  s.sequences_total = sequences_enqueued_;
   return s;
 }
 

@@ -4,6 +4,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <variant>
 
 #include "fuzz/corpus.h"
 #include "fuzz/fuzzer.h"
@@ -27,9 +28,9 @@ struct LegoOptions {
   /// Each synthesized sequence is instantiated this many times (§III-B:
   /// randomness in structure selection adds diversity).
   int instantiations_per_sequence = 2;
-  /// Per-affinity cap on sequences consumed from the synthesizer.
+  /// Per-affinity cap on sequences taken from the synthesizer.
   int max_sequences_per_affinity = 96;
-  /// Pending-work queue bound.
+  /// Pending-work queue bound, in entries (one entry per instantiation).
   size_t max_queue = 16384;
   uint64_t rng_seed = 1;
 };
@@ -54,22 +55,28 @@ class LegoFuzzer : public fuzz::Fuzzer {
   std::vector<fuzz::TestCase> ExportCorpus() const override;
 
   /// Serializes every mutable member — RNG stream, AST library, affinity
-  /// map, synthesizer S (PS is rebuilt), corpus with scheduling state, the
-  /// pending queue, deferred foreign affinities, the in-flight seed (as a
-  /// corpus index) and the mutation cursor. Configuration (options_) is
-  /// written as a fingerprint and verified on load, not restored: a resumed
-  /// campaign must be constructed with the same options.
+  /// map, synthesized affinities, corpus with scheduling state, the pending
+  /// queue (test cases as ASTs, synthesized entries as type bytes), deferred
+  /// foreign affinities, the in-flight seed (as a corpus index), the
+  /// mutation cursor and the synthesized-sequence count. Configuration
+  /// (options_) is written as a fingerprint and verified on load, not
+  /// restored: a resumed campaign must be constructed with the same options.
   Status SaveState(persist::StateWriter* w) const override;
   Status LoadState(persist::StateReader* r) override;
   fuzz::FuzzerStats stats() const override;
 
   /// Affinities discovered so far (Table II / Table IV metric).
   const TypeAffinityMap& affinities() const { return affinity_map_; }
-  const SequenceSynthesizer& synthesizer() const { return synthesizer_; }
   size_t corpus_size() const { return corpus_.size(); }
 
  private:
+  /// A queued test case, or a synthesized type sequence that Next()
+  /// instantiates only when it pops it.
+  using QueueEntry =
+      std::variant<fuzz::TestCase, std::vector<sql::StatementType>>;
+
   void EnqueueSynthesized(sql::StatementType t1, sql::StatementType t2);
+  fuzz::TestCase PopQueue();
 
   const minidb::DialectProfile& profile_;
   LegoOptions options_;
@@ -80,7 +87,7 @@ class LegoFuzzer : public fuzz::Fuzzer {
   TypeAffinityMap affinity_map_;
   SequenceSynthesizer synthesizer_;
   fuzz::Corpus corpus_;
-  std::deque<fuzz::TestCase> queue_;
+  std::deque<QueueEntry> queue_;
   /// Affinities learned from imported (cross-worker) seeds, synthesized
   /// lazily in Next() when the queue has room: eagerly instantiating every
   /// foreign affinity would synthesize far more test cases than a worker's
@@ -90,6 +97,7 @@ class LegoFuzzer : public fuzz::Fuzzer {
   /// Seed whose mutants are in flight (attribution for scheduling).
   fuzz::Seed* current_seed_ = nullptr;
   size_t mutation_cursor_ = 0;
+  size_t sequences_enqueued_ = 0;
 };
 
 }  // namespace lego::core

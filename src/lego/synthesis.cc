@@ -1,64 +1,92 @@
 #include "lego/synthesis.h"
 
+#include <algorithm>
+#include <string>
+
 namespace lego::core {
 
-void SequenceSynthesizer::AddStartType(sql::StatementType t) {
-  auto key = std::make_pair(t, 1);
-  if (prefix_.count(key)) return;  // already a root
-  Record({t});
+namespace {
+
+using Sequence = std::vector<sql::StatementType>;
+
+uint64_t Bit(sql::StatementType t) {
+  return uint64_t{1} << static_cast<int>(t);
 }
 
-bool SequenceSynthesizer::Record(
-    const std::vector<sql::StatementType>& seq) {
-  if (sequences_.size() >= kMaxSequences) {
-    ++dropped_;
-    return false;
-  }
-  sequences_.push_back(seq);
-  prefix_[{seq.back(), static_cast<int>(seq.size())}].push_back(
-      sequences_.size() - 1);
-  return true;
-}
-
-std::vector<std::vector<sql::StatementType>>
-SequenceSynthesizer::OnNewAffinity(sql::StatementType t1,
-                                   sql::StatementType t2,
-                                   const TypeAffinityMap& affinities) {
-  std::vector<std::vector<sql::StatementType>> out;
-  size_t first_new = sequences_.size();
-
-  for (int level = 1; level <= max_len_ - 1; ++level) {
-    auto it = prefix_.find({t1, level});
-    if (it == prefix_.end() || it->second.empty()) continue;
-    // Copy: Record() appends to PS entries while we iterate.
-    std::vector<size_t> prefix_indexes = it->second;
-    for (size_t seq_index : prefix_indexes) {
-      // Only extend prefixes that existed before this call — new sequences
-      // already contain t1 -> t2.
-      if (seq_index >= first_new) continue;
-      std::vector<sql::StatementType> seq = sequences_[seq_index];
-      seq.push_back(t2);
-      if (!Record(seq)) return out;
-      out.push_back(seq);
-      ListSeq(level + 1, t2, &seq, affinities, &out);
-      if (sequences_.size() >= kMaxSequences) return out;
+/// out[r]: the types with an r-step walk over `map` that ends in `targets`.
+std::vector<uint64_t> WalkableTo(const TypeAffinityMap& map, uint64_t targets,
+                                 int steps) {
+  std::vector<uint64_t> out(static_cast<size_t>(steps) + 1, 0);
+  out[0] = targets;
+  for (int r = 1; r <= steps; ++r) {
+    for (int t = 0; t < sql::kNumStatementTypes; ++t) {
+      if (map.SuccessorMask(static_cast<sql::StatementType>(t)) & out[r - 1]) {
+        out[r] |= uint64_t{1} << t;
+      }
     }
   }
   return out;
 }
 
-void SequenceSynthesizer::ListSeq(
-    int level, sql::StatementType node_type,
-    std::vector<sql::StatementType>* seq, const TypeAffinityMap& affinities,
-    std::vector<std::vector<sql::StatementType>>* out) {
-  if (level >= max_len_) return;
-  for (sql::StatementType next : affinities.SuccessorsOf(node_type)) {
-    if (sequences_.size() >= kMaxSequences) return;
-    seq->push_back(next);
-    ListSeq(level + 1, next, seq, affinities, out);
-    if (Record(*seq)) out->push_back(*seq);
-    seq->pop_back();
+/// Depth-first enumeration of the walks of one length that put the new
+/// affinity t1 -> t2 at one position: the prefix (the first `split` types)
+/// runs over the affinities synthesized before and ends in t1, the rest
+/// runs over them plus t1 -> t2. The tables prune every branch that cannot
+/// reach the full length, so each step taken leads to an output.
+struct Walker {
+  const TypeAffinityMap& before;
+  const TypeAffinityMap& after;
+  const std::vector<uint64_t>& ends_in_t1;  // over `before`
+  const std::vector<uint64_t>& extends;     // over `after`
+  uint64_t start_types;
+  sql::StatementType t2;
+  size_t limit;
+  std::vector<Sequence>* out;
+  Sequence seq;
+  size_t length = 0;
+  size_t split = 0;
+
+  void Walk() {
+    size_t i = seq.size();
+    if (i == length) {
+      out->push_back(seq);
+      return;
+    }
+    uint64_t next =
+        i < split ? (i == 0 ? start_types : before.SuccessorMask(seq.back())) &
+                        ends_in_t1[split - 1 - i]
+                  : (i == split ? Bit(t2) : after.SuccessorMask(seq.back())) &
+                        extends[length - 1 - i];
+    for (; next != 0 && out->size() < limit; next &= next - 1) {
+      seq.push_back(static_cast<sql::StatementType>(__builtin_ctzll(next)));
+      Walk();
+      seq.pop_back();
+    }
   }
+};
+
+}  // namespace
+
+std::vector<Sequence> SequenceSynthesizer::OnNewAffinity(
+    sql::StatementType t1, sql::StatementType t2, size_t limit) {
+  const TypeAffinityMap before = synthesized_;
+  if (!synthesized_.Add(t1, t2)) return {};
+  int steps = std::max(0, max_len_ - 2);
+  std::vector<uint64_t> ends_in_t1 = WalkableTo(before, Bit(t1), steps);
+  std::vector<uint64_t> extends = WalkableTo(
+      synthesized_, (uint64_t{1} << sql::kNumStatementTypes) - 1, steps);
+  std::vector<Sequence> out;
+  Walker walker{before, synthesized_, ends_in_t1, extends, start_types_,
+                t2,     limit,        &out,       {}};
+  for (int length = 2; length <= max_len_; ++length) {
+    for (int split = 1; split < length && out.size() < limit; ++split) {
+      if (!(extends[length - 1 - split] & Bit(t2))) continue;
+      walker.length = static_cast<size_t>(length);
+      walker.split = static_cast<size_t>(split);
+      walker.Walk();
+    }
+  }
+  return out;
 }
 
 namespace {
@@ -68,12 +96,7 @@ constexpr uint32_t kSynthTag = persist::ChunkTag("SYNT");
 Status SequenceSynthesizer::SaveState(persist::StateWriter* w) const {
   w->BeginChunk(kSynthTag);
   w->WriteI64(max_len_);
-  w->WriteU64(dropped_);
-  w->WriteU64(sequences_.size());
-  for (const auto& seq : sequences_) {
-    w->WriteU64(seq.size());
-    for (sql::StatementType t : seq) w->WriteU8(static_cast<uint8_t>(t));
-  }
+  LEGO_RETURN_IF_ERROR(synthesized_.SaveState(w));
   w->EndChunk();
   return Status::OK();
 }
@@ -86,43 +109,8 @@ Status SequenceSynthesizer::LoadState(persist::StateReader* r) {
         "synthesizer state saved with max_len " + std::to_string(max_len) +
         ", this campaign uses " + std::to_string(max_len_));
   }
-  uint64_t dropped = r->ReadU64();
-  uint64_t n = r->ReadU64();
-  if (!r->CheckCount(n, 8)) return r->status();
-  std::vector<std::vector<sql::StatementType>> sequences;
-  sequences.reserve(n);
-  constexpr uint8_t kNum = static_cast<uint8_t>(sql::StatementType::kNumTypes);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t len = r->ReadU64();
-    if (!r->CheckCount(len, 1)) return r->status();
-    std::vector<sql::StatementType> seq;
-    seq.reserve(len);
-    for (uint64_t j = 0; j < len; ++j) {
-      uint8_t t = r->ReadU8();
-      if (!r->ok()) return r->status();
-      if (t >= kNum) {
-        return Status::InvalidArgument("sequence with invalid type tag");
-      }
-      seq.push_back(static_cast<sql::StatementType>(t));
-    }
-    if (seq.empty()) {
-      return Status::InvalidArgument("empty sequence in synthesizer state");
-    }
-    sequences.push_back(std::move(seq));
-  }
-  LEGO_RETURN_IF_ERROR(r->ExitChunk());
-  // Rebuild PS from S exactly as Record() built it: index i is appended to
-  // prefix_[(S[i].back, |S[i]|)] in increasing i, so the rebuilt index lists
-  // match the original insertion order and future synthesis walks them in
-  // the same order.
-  sequences_ = std::move(sequences);
-  prefix_.clear();
-  for (size_t i = 0; i < sequences_.size(); ++i) {
-    const auto& seq = sequences_[i];
-    prefix_[{seq.back(), static_cast<int>(seq.size())}].push_back(i);
-  }
-  dropped_ = dropped;
-  return Status::OK();
+  LEGO_RETURN_IF_ERROR(synthesized_.LoadState(r));
+  return r->ExitChunk();
 }
 
 }  // namespace lego::core

@@ -1,8 +1,7 @@
 #ifndef LEGO_LEGO_SYNTHESIS_H_
 #define LEGO_LEGO_SYNTHESIS_H_
 
-#include <map>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "lego/affinity.h"
@@ -11,71 +10,49 @@
 
 namespace lego::core {
 
-/// Progressive sequence synthesis (paper §III-B, Algorithm 3).
+/// Progressive sequence synthesis (paper §III-B, Algorithm 3), enumerated
+/// lazily.
 ///
-/// Maintains the paper's data structures:
-///  - S:  every synthesized SQL Type Sequence (length <= LEN);
-///  - PS: the Prefix Sequence index, mapping (ending type, length) to the
-///        indexes in S of sequences with that ending type and length.
-///
-/// When a new affinity t1 -> t2 is discovered, only the *new* sequences that
-/// contain it are enumerated: every known prefix ending in t1 is extended
-/// with t2 and then expanded with all known affinities up to LEN.
+/// The paper's S — every synthesized SQL Type Sequence of length <= LEN — is
+/// implicit: it is the set of walks over the synthesized affinities that
+/// begin at a start type. When affinity t1 -> t2 is synthesized, the new
+/// sequences are the walks that contain it: a known prefix ending in t1 (the
+/// PS lookup), then t2, then every expansion with known affinities (listSeq).
+/// Each walk is new exactly once, under the last of its affinities to be
+/// synthesized. OnNewAffinity enumerates only the first `limit` of them, so
+/// its work and memory are O(limit * LEN + LEN * (LEN + kNumStatementTypes))
+/// however long LEN is and however dense the affinities are.
 class SequenceSynthesizer {
  public:
-  /// Hard cap on |S|; prevents the combinatorial blow-up the paper's C1
-  /// identifies from exhausting memory at dense affinity maps.
-  static constexpr size_t kMaxSequences = 200000;
-
   explicit SequenceSynthesizer(int max_len) : max_len_(max_len) {}
 
-  /// Registers a starting statement type: seeds S with the length-1
-  /// sequence [t] so prefixes ending in t exist.
-  void AddStartType(sql::StatementType t);
-
-  /// Algorithm 3. Returns the sequences newly synthesized for affinity
-  /// t1 -> t2 (each has length in [2, LEN]). `affinities` is the paper's T.
-  std::vector<std::vector<sql::StatementType>> OnNewAffinity(
-      sql::StatementType t1, sql::StatementType t2,
-      const TypeAffinityMap& affinities);
-
-  /// Total sequences synthesized so far (including length-1 roots).
-  size_t TotalSequences() const { return sequences_.size(); }
-
-  /// Sequences discarded at the kMaxSequences cap. A nonzero value means S
-  /// is saturated and further affinities synthesize nothing — previously
-  /// this happened silently; campaigns now surface it in their summary.
-  size_t dropped_sequences() const { return dropped_; }
-
-  int max_len() const { return max_len_; }
-
-  /// Read-only view of S (tests).
-  const std::vector<std::vector<sql::StatementType>>& sequences() const {
-    return sequences_;
+  /// Registers a type that may begin a sequence.
+  void AddStartType(sql::StatementType t) {
+    start_types_ |= uint64_t{1} << static_cast<int>(t);
   }
 
-  /// Checkpointing: S and the drop counter round-trip; PS is derived state,
-  /// rebuilt from S in the same insertion order Record() used. max_len is
-  /// configuration and only verified.
+  /// Algorithm 3: records affinity t1 -> t2 and returns at most `limit` of
+  /// the sequences it makes new (each of length in [2, LEN]). They come
+  /// shortest first; within a length by prefix length, then prefix, then
+  /// expansion, each compared in StatementType order — Alg. 3's depth-first
+  /// order, with prefixes of one length taken lexicographically rather than
+  /// in the order they were synthesized. Returns nothing if the affinity
+  /// was already synthesized.
+  std::vector<std::vector<sql::StatementType>> OnNewAffinity(
+      sql::StatementType t1, sql::StatementType t2, size_t limit);
+
+  /// Affinities synthesized so far (S is every walk over these).
+  const TypeAffinityMap& synthesized() const { return synthesized_; }
+
+  /// Checkpointing: the synthesized affinities round-trip; start types and
+  /// max_len are configuration (max_len is verified).
   Status SaveState(persist::StateWriter* w) const;
   Status LoadState(persist::StateReader* r);
 
  private:
-  /// Appends `seq` to S and records it in PS. Returns false at the cap.
-  bool Record(const std::vector<sql::StatementType>& seq);
-
-  /// Paper's listSeq: depth-first expansion of `seq` (ending in nodeType,
-  /// length `level`) with every known affinity, recording each extension.
-  void ListSeq(int level, sql::StatementType node_type,
-               std::vector<sql::StatementType>* seq,
-               const TypeAffinityMap& affinities,
-               std::vector<std::vector<sql::StatementType>>* out);
-
   int max_len_;
-  size_t dropped_ = 0;  // sequences refused at kMaxSequences
-  std::vector<std::vector<sql::StatementType>> sequences_;  // S
-  // PS: (type, length) -> indexes into S.
-  std::map<std::pair<sql::StatementType, int>, std::vector<size_t>> prefix_;
+  uint64_t start_types_ = 0;
+  TypeAffinityMap synthesized_;
 };
 
 }  // namespace lego::core

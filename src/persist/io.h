@@ -13,7 +13,7 @@ namespace lego::persist {
 /// On-disk format version. Bumped whenever the envelope or any chunk layout
 /// changes incompatibly; readers reject files from other versions with a
 /// clean Status instead of misparsing them.
-inline constexpr uint32_t kFormatVersion = 2;
+inline constexpr uint32_t kFormatVersion = 3;
 
 /// Four-character chunk tag packed little-endian, e.g. ChunkTag("CORP").
 constexpr uint32_t ChunkTag(const char (&s)[5]) {

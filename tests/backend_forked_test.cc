@@ -221,10 +221,10 @@ TEST(GoldenCampaignTest, SerialInProcessLegoPglite) {
   options.snapshot_every = 200;
 
   CampaignResult result = RunCampaign(&fuzzer, &harness, options);
-  EXPECT_EQ(result.edges, 468u);
-  EXPECT_EQ(result.affinities.size(), 115u);
-  EXPECT_EQ(result.statements_executed, 4871);
-  EXPECT_EQ(result.statement_errors, 3886);
+  EXPECT_EQ(result.edges, 395u);
+  EXPECT_EQ(result.affinities.size(), 86u);
+  EXPECT_EQ(result.statements_executed, 4552);
+  EXPECT_EQ(result.statement_errors, 4025);
   EXPECT_EQ(result.crashes_total, 0);
 }
 

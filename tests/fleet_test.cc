@@ -437,7 +437,9 @@ TEST_F(FleetTest, HeartbeatLossExpiresLeaseAndRequeues) {
 
 TEST_F(FleetTest, GracefulShutdownDrainsAndResumeCompletes) {
   FleetConfig config = BaseConfig();
-  config.shard_budget = 5000;
+  // Large enough that two workers cannot finish all shards before the stop
+  // lands 300 ms in, on a fast machine too.
+  config.shard_budget = 20000;
   Reference ref = RunReference(config);
   const std::string fleet_dir = FreshDir("drain");
 

@@ -69,7 +69,7 @@ TEST(LegoFuzzerTest, DiscoversAffinitiesAndSynthesizes) {
   core::LegoFuzzer lego(DialectProfile::PgLite(), options);
   CampaignResult result = RunSmall(&lego, DialectProfile::PgLite(), 1500);
   EXPECT_GT(lego.affinities().Count(), 20u);
-  EXPECT_GT(lego.synthesizer().TotalSequences(), 100u);
+  EXPECT_GT(lego.stats().sequences_total, 100u);
   EXPECT_GT(result.edges, 200u);
   EXPECT_GT(lego.corpus_size(), 5u);
 }

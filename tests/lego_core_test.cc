@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <set>
 
 #include "fuzz/testcase.h"
@@ -17,6 +19,16 @@ namespace lego::core {
 namespace {
 
 using sql::StatementType;
+
+constexpr size_t kAll = SIZE_MAX;  // no limit on synthesized sequences
+
+bool ContainsPair(const std::vector<StatementType>& seq, StatementType t1,
+                  StatementType t2) {
+  for (size_t i = 0; i + 1 < seq.size(); ++i) {
+    if (seq[i] == t1 && seq[i + 1] == t2) return true;
+  }
+  return false;
+}
 
 // ---------------------------------------------------------------------------
 // Algorithm 2: type-affinity analysis
@@ -78,55 +90,47 @@ TEST(AffinityTest, AllReturnsEveryPair) {
 TEST(SynthesisTest, PaperExampleLengthTwo) {
   // Paper §III-B: target length 2, current "CREATE TABLE", affinity
   // CREATE TABLE -> {INSERT, SELECT} yields both length-2 sequences.
-  TypeAffinityMap map;
   SequenceSynthesizer synth(/*max_len=*/2);
   synth.AddStartType(StatementType::kCreateTable);
 
-  map.Add(StatementType::kCreateTable, StatementType::kInsert);
   auto first = synth.OnNewAffinity(StatementType::kCreateTable,
-                                   StatementType::kInsert, map);
+                                   StatementType::kInsert, kAll);
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0],
             (std::vector<StatementType>{StatementType::kCreateTable,
                                         StatementType::kInsert}));
 
-  map.Add(StatementType::kCreateTable, StatementType::kSelect);
   auto second = synth.OnNewAffinity(StatementType::kCreateTable,
-                                    StatementType::kSelect, map);
+                                    StatementType::kSelect, kAll);
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second[0],
             (std::vector<StatementType>{StatementType::kCreateTable,
                                         StatementType::kSelect}));
+  // An affinity synthesized before makes nothing new.
+  EXPECT_TRUE(synth.OnNewAffinity(StatementType::kCreateTable,
+                                  StatementType::kSelect, kAll)
+                  .empty());
 }
 
 TEST(SynthesisTest, OnlyNewSequencesAreGenerated) {
   // Fig. 6: when affinity 4->6 arrives, only sequences containing it are
   // enumerated — everything produced must contain the new pair.
-  TypeAffinityMap map;
   SequenceSynthesizer synth(/*max_len=*/4);
   for (auto t : {StatementType::kCreateTable, StatementType::kInsert,
                  StatementType::kSelect, StatementType::kUpdate}) {
     synth.AddStartType(t);
   }
-  map.Add(StatementType::kCreateTable, StatementType::kInsert);
   synth.OnNewAffinity(StatementType::kCreateTable, StatementType::kInsert,
-                      map);
-  map.Add(StatementType::kInsert, StatementType::kSelect);
-  synth.OnNewAffinity(StatementType::kInsert, StatementType::kSelect, map);
+                      kAll);
+  synth.OnNewAffinity(StatementType::kInsert, StatementType::kSelect, kAll);
 
-  map.Add(StatementType::kSelect, StatementType::kUpdate);
   auto fresh = synth.OnNewAffinity(StatementType::kSelect,
-                                   StatementType::kUpdate, map);
+                                   StatementType::kUpdate, kAll);
   ASSERT_FALSE(fresh.empty());
   for (const auto& seq : fresh) {
-    bool contains = false;
-    for (size_t i = 0; i + 1 < seq.size(); ++i) {
-      if (seq[i] == StatementType::kSelect &&
-          seq[i + 1] == StatementType::kUpdate) {
-        contains = true;
-      }
-    }
-    EXPECT_TRUE(contains) << "sequence missing the new affinity";
+    EXPECT_TRUE(ContainsPair(seq, StatementType::kSelect,
+                             StatementType::kUpdate))
+        << "sequence missing the new affinity";
     EXPECT_LE(seq.size(), 4u);
     EXPECT_GE(seq.size(), 2u);
   }
@@ -134,41 +138,62 @@ TEST(SynthesisTest, OnlyNewSequencesAreGenerated) {
 
 TEST(SynthesisTest, TransitiveExpansionReachesMaxLen) {
   // A -> B then B -> C: synthesizing on B -> C must produce A,B,C.
-  TypeAffinityMap map;
   SequenceSynthesizer synth(/*max_len=*/3);
   synth.AddStartType(StatementType::kCreateTable);
   synth.AddStartType(StatementType::kInsert);
 
-  map.Add(StatementType::kCreateTable, StatementType::kInsert);
   synth.OnNewAffinity(StatementType::kCreateTable, StatementType::kInsert,
-                      map);
-  map.Add(StatementType::kInsert, StatementType::kSelect);
+                      kAll);
   auto fresh = synth.OnNewAffinity(StatementType::kInsert,
-                                   StatementType::kSelect, map);
+                                   StatementType::kSelect, kAll);
   std::vector<StatementType> want = {StatementType::kCreateTable,
                                      StatementType::kInsert,
                                      StatementType::kSelect};
   EXPECT_NE(std::find(fresh.begin(), fresh.end(), want), fresh.end());
 }
 
-TEST(SynthesisTest, NoDuplicateSequences) {
-  TypeAffinityMap map;
-  SequenceSynthesizer synth(/*max_len=*/4);
+TEST(SynthesisTest, EveryWalkIsSynthesizedExactlyOnce) {
+  // S is implicit: over all calls, the outputs are every walk of length
+  // 2..LEN over the affinities that begins at a start type, each once.
   std::vector<StatementType> types = {
       StatementType::kCreateTable, StatementType::kInsert,
       StatementType::kSelect, StatementType::kUpdate,
       StatementType::kDelete};
-  for (auto t : types) synth.AddStartType(t);
-  for (auto t1 : types) {
-    for (auto t2 : types) {
-      if (t1 == t2) continue;
-      if (map.Add(t1, t2)) synth.OnNewAffinity(t1, t2, map);
+  SequenceSynthesizer synth(/*max_len=*/4);
+  for (size_t i = 0; i + 1 < types.size(); ++i) synth.AddStartType(types[i]);
+  TypeAffinityMap map;
+  std::vector<std::vector<StatementType>> all;
+  // A graph with cycles but not complete; kDelete never starts a sequence.
+  for (size_t i = 0; i < types.size(); ++i) {
+    for (size_t j = 0; j < types.size(); ++j) {
+      if (i == j || (i + j) % 3 == 0) continue;
+      StatementType t1 = types[i];
+      StatementType t2 = types[j];
+      map.Add(t1, t2);
+      for (auto& seq : synth.OnNewAffinity(t1, t2, kAll)) {
+        all.push_back(std::move(seq));
+      }
     }
   }
-  std::set<std::vector<StatementType>> unique(synth.sequences().begin(),
-                                              synth.sequences().end());
-  EXPECT_EQ(unique.size(), synth.sequences().size())
+  std::set<std::vector<StatementType>> unique(all.begin(), all.end());
+  EXPECT_EQ(unique.size(), all.size())
       << "synthesizer produced duplicate sequences";
+
+  std::set<std::vector<StatementType>> walks;
+  std::vector<std::vector<StatementType>> frontier;
+  for (size_t i = 0; i + 1 < types.size(); ++i) frontier.push_back({types[i]});
+  while (!frontier.empty()) {
+    std::vector<StatementType> seq = std::move(frontier.back());
+    frontier.pop_back();
+    if (seq.size() >= 2) walks.insert(seq);
+    if (seq.size() == 4) continue;
+    for (auto next : types) {
+      if (!map.Contains(seq.back(), next)) continue;
+      frontier.push_back(seq);
+      frontier.back().push_back(next);
+    }
+  }
+  EXPECT_EQ(unique, walks);
 }
 
 TEST(SynthesisTest, EverySequenceRespectsAffinities) {
@@ -178,15 +203,15 @@ TEST(SynthesisTest, EverySequenceRespectsAffinities) {
       StatementType::kCreateTable, StatementType::kInsert,
       StatementType::kSelect, StatementType::kUpdate};
   for (auto t : types) synth.AddStartType(t);
-  map.Add(StatementType::kCreateTable, StatementType::kInsert);
-  synth.OnNewAffinity(StatementType::kCreateTable, StatementType::kInsert,
-                      map);
-  map.Add(StatementType::kInsert, StatementType::kSelect);
-  synth.OnNewAffinity(StatementType::kInsert, StatementType::kSelect, map);
-  map.Add(StatementType::kSelect, StatementType::kUpdate);
-  synth.OnNewAffinity(StatementType::kSelect, StatementType::kUpdate, map);
-
-  for (const auto& seq : synth.sequences()) {
+  std::vector<std::vector<StatementType>> all;
+  for (size_t i = 0; i + 1 < types.size(); ++i) {
+    map.Add(types[i], types[i + 1]);
+    for (auto& seq : synth.OnNewAffinity(types[i], types[i + 1], kAll)) {
+      all.push_back(std::move(seq));
+    }
+  }
+  ASSERT_FALSE(all.empty());
+  for (const auto& seq : all) {
     for (size_t i = 0; i + 1 < seq.size(); ++i) {
       EXPECT_TRUE(map.Contains(seq[i], seq[i + 1]))
           << "adjacent pair not licensed by an affinity";
@@ -194,21 +219,42 @@ TEST(SynthesisTest, EverySequenceRespectsAffinities) {
   }
 }
 
-TEST(SynthesisTest, CapBoundsTotalSequences) {
-  TypeAffinityMap map;
+TEST(SynthesisTest, LongSequencesOnADenseGraphStayBounded) {
+  // LEN = 8 over a complete 20-type graph: near the end the graph has
+  // about 20 * 19^7 walks, yet each affinity costs at most `limit`
+  // sequences and the whole run stays well under a second.
+  constexpr size_t kLimit = 96;
+  auto begin = std::chrono::steady_clock::now();
   SequenceSynthesizer synth(/*max_len=*/8);
-  // Dense affinity graph over many types would explode without the cap.
-  for (int i = 0; i < 20; ++i) synth.AddStartType(static_cast<StatementType>(i));
+  for (int i = 0; i < 20; ++i) {
+    synth.AddStartType(static_cast<StatementType>(i));
+  }
+  TypeAffinityMap map;
+  size_t total = 0;
   for (int i = 0; i < 20; ++i) {
     for (int j = 0; j < 20; ++j) {
       if (i == j) continue;
       auto t1 = static_cast<StatementType>(i);
       auto t2 = static_cast<StatementType>(j);
-      if (map.Add(t1, t2)) synth.OnNewAffinity(t1, t2, map);
-      if (synth.TotalSequences() >= SequenceSynthesizer::kMaxSequences) break;
+      map.Add(t1, t2);
+      auto fresh = synth.OnNewAffinity(t1, t2, kLimit);
+      ASSERT_LE(fresh.size(), kLimit);
+      ASSERT_FALSE(fresh.empty());
+      total += fresh.size();
+      for (const auto& seq : fresh) {
+        ASSERT_TRUE(ContainsPair(seq, t1, t2));
+        for (size_t k = 0; k + 1 < seq.size(); ++k) {
+          ASSERT_TRUE(map.Contains(seq[k], seq[k + 1]));
+        }
+      }
     }
   }
-  EXPECT_LE(synth.TotalSequences(), SequenceSynthesizer::kMaxSequences);
+  EXPECT_EQ(synth.synthesized().Count(), 380u);
+  EXPECT_GT(total, 380u);
+  double seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - begin)
+                       .count();
+  EXPECT_LT(seconds, 1.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include "fuzz/checkpoint.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/harness.h"
+#include "fuzz/seeds.h"
 #include "lego/lego_fuzzer.h"
 #include "minidb/profile.h"
 #include "persist/io.h"
@@ -195,6 +196,50 @@ TEST(FuzzerStateRoundtripTest, RestoredFuzzerContinuesIdentically) {
     a->OnResult(ta, ra);
     b->OnResult(tb, rb);
   }
+}
+
+TEST(FuzzerStateRoundtripTest, MixedLazyAndConcreteQueueResumesIdentically) {
+  // Synthesized sequences wait in the queue as bare types next to concrete
+  // seed scripts and mutants. A checkpoint taken with both kinds queued
+  // must restore both, byte for byte, and continue the same campaign.
+  // Prepare queues the seed scripts first and each Next() pops at most one
+  // entry, so while fewer steps have run than there are seed scripts, a
+  // seed script is still queued, and so is every synthesized sequence
+  // queued behind it.
+  const minidb::DialectProfile& profile = minidb::DialectProfile::MariaLite();
+  core::LegoOptions options;
+  options.rng_seed = 17;
+  core::LegoFuzzer a(profile, options);
+  ExecutionHarness ha(profile);
+  a.Prepare(&ha);
+  size_t steps = 0;
+  while (a.stats().sequences_total == 0) {
+    TestCase tc = a.Next();
+    a.OnResult(tc, ha.Run(tc));
+    ++steps;
+  }
+  ASSERT_LT(steps, SeedScriptsFor(profile.name).size());
+  const std::string saved = SaveBytes(a, ha);
+
+  core::LegoFuzzer b(profile, options);
+  ExecutionHarness hb(profile);
+  b.Prepare(&hb);
+  persist::StateReader r = persist::StateReader::FromPayload(saved);
+  ASSERT_TRUE(b.LoadState(&r).ok());
+  ASSERT_TRUE(hb.LoadState(&r).ok());
+  EXPECT_EQ(saved, SaveBytes(b, hb));
+
+  for (int i = 0; i < 300; ++i) {
+    TestCase ta = a.Next();
+    TestCase tb = b.Next();
+    ASSERT_EQ(ta.ToSql(), tb.ToSql()) << "diverged at continuation " << i;
+    ExecResult ra = ha.Run(ta);
+    ExecResult rb = hb.Run(tb);
+    ASSERT_EQ(ra.total_edges, rb.total_edges);
+    a.OnResult(ta, ra);
+    b.OnResult(tb, rb);
+  }
+  EXPECT_EQ(SaveBytes(a, ha), SaveBytes(b, hb));
 }
 
 TEST(CampaignResultRoundtripTest, SecondSnapshotIsByteIdentical) {

@@ -232,7 +232,9 @@ TEST_P(HeapPropertyTest, AgreesWithReferenceModel) {
   heap.Scan([&](RowId id, const Row& row) {
     auto it = model.find({id.page, id.slot});
     EXPECT_NE(it, model.end());
-    if (it != model.end()) EXPECT_EQ(row[0].AsInt(), it->second);
+    if (it != model.end()) {
+      EXPECT_EQ(row[0].AsInt(), it->second);
+    }
     ++scanned;
     return true;
   });
